@@ -18,7 +18,7 @@ pub mod problem;
 pub mod solve;
 
 pub use problem::{apply, extract, BalanceProblem, BalanceSolution, ProblemError};
-pub use solve::{solve_alap, solve_asap, solve_heuristic, solve_optimal, solve_sub};
+pub use solve::{solve_alap, solve_asap, solve_heuristic, solve_optimal};
 
 use valpipe_ir::Graph;
 

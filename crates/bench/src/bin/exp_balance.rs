@@ -6,9 +6,9 @@
 //!    random DAGs);
 //! 2. a polynomial buffer-reduction algorithm "effectively reduces the
 //!    buffering in many cases" (heuristic vs ASAP buffer counts);
-//! 3. optimum balancing = the LP dual of min-cost flow (the cycle-
-//!    canceling optimum is never beaten, and its LP feasibility /
-//!    complementary-slackness invariants hold).
+//! 3. optimum balancing = the LP dual of min-cost flow (the successive-
+//!    shortest-paths optimum is never beaten, and its LP feasibility /
+//!    complementary-slackness certificate holds).
 
 use std::time::Instant;
 use valpipe_balance::{problem, solve};

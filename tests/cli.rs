@@ -2,9 +2,18 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A temp-file path no other test in this process shares: the harness
+/// runs tests in parallel, and two tests writing one file race.
+fn unique_path(stem: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{stem}_{}_{n}.val", std::process::id()))
+}
 
 fn write_program() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("valpipe_cli_test_{}.val", std::process::id()));
+    let path = unique_path("valpipe_cli_test");
     let mut f = std::fs::File::create(&path).unwrap();
     writeln!(
         f,
@@ -75,7 +84,7 @@ fn dot_emits_graphviz() {
 
 #[test]
 fn bad_program_fails_with_diagnostic() {
-    let path = std::env::temp_dir().join(format!("valpipe_cli_bad_{}.val", std::process::id()));
+    let path = unique_path("valpipe_cli_bad");
     std::fs::write(
         &path,
         "param m = 4;\nA : array[real] := forall i in [0, m] construct B[2*i] endall;\noutput A;\n",
@@ -88,10 +97,7 @@ fn bad_program_fails_with_diagnostic() {
 }
 
 fn write_deep_program(parens: usize) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "valpipe_cli_deep_{}_{parens}.val",
-        std::process::id()
-    ));
+    let path = unique_path(&format!("valpipe_cli_deep_{parens}"));
     std::fs::write(
         &path,
         format!(
