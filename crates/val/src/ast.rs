@@ -7,6 +7,7 @@
 //! `X[i: E]`, and a small program wrapper declaring compile-time
 //! parameters, input arrays, blocks and outputs.
 
+use std::collections::BTreeSet;
 use std::fmt;
 pub use valpipe_ir::value::{BinOp, UnOp};
 
@@ -241,6 +242,50 @@ pub struct BlockDecl {
     pub ty: Type,
     /// The defining construct.
     pub body: BlockBody,
+}
+
+impl BlockDecl {
+    /// Every name the block can look up in an enclosing scope: each
+    /// variable, indexed array and append target in any of its
+    /// expressions, plus the block's own name. Names the block binds
+    /// itself may be included too; no name outside the set is ever
+    /// consulted when the block is checked, analyzed or lowered.
+    pub fn referenced_names(&self) -> BTreeSet<&str> {
+        fn visit<'a>(e: &'a Expr, names: &mut BTreeSet<&'a str>) {
+            e.walk(&mut |e| match e {
+                Expr::Var(n)
+                | Expr::Index(n, _)
+                | Expr::Index2(n, _, _)
+                | Expr::Append(n, _, _) => {
+                    names.insert(n.as_str());
+                }
+                _ => {}
+            })
+        }
+        let mut names = BTreeSet::new();
+        names.insert(self.name.as_str());
+        match &self.body {
+            BlockBody::Forall(f) => {
+                visit(&f.range.0, &mut names);
+                visit(&f.range.1, &mut names);
+                if let Some((_, (lo, hi))) = &f.second {
+                    visit(lo, &mut names);
+                    visit(hi, &mut names);
+                }
+                for d in &f.defs {
+                    visit(&d.value, &mut names);
+                }
+                visit(&f.body, &mut names);
+            }
+            BlockBody::ForIter(fi) => {
+                for d in &fi.inits {
+                    visit(&d.value, &mut names);
+                }
+                visit(&fi.body, &mut names);
+            }
+        }
+        names
+    }
 }
 
 /// An input array declaration `input NAME : array[T] [lo, hi];`.

@@ -228,6 +228,22 @@ impl std::error::Error for AnalyzeError {}
 /// Analyze a (type-checked) program into its flow dependency graph,
 /// classifying every block and range-checking every access.
 pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
+    analyze_with(prog, analyze_block)
+}
+
+/// [`analyze`] with the per-block step supplied by the caller: `step` is
+/// called once per block, in source order, with the block, the manifest
+/// range of every array declared before it (inputs included), and the
+/// parameter bindings, and must return what [`analyze_block`] returns
+/// for those arguments. The incremental compiler answers it from a memo.
+pub fn analyze_with(
+    prog: &Program,
+    mut step: impl FnMut(
+        &BlockDecl,
+        &HashMap<String, (i64, i64)>,
+        &Bindings,
+    ) -> Result<BlockNode, AnalyzeError>,
+) -> Result<FlowGraph, AnalyzeError> {
     let mut params = Bindings::new();
     for (n, v) in &prog.params {
         params.insert(n.clone(), Value::Int(*v));
@@ -249,109 +265,17 @@ pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
 
     let mut blocks = Vec::new();
     let mut edges = Vec::new();
+    let mut seen_edges: HashSet<(String, String)> = HashSet::new();
     for block in &prog.blocks {
-        let arrays: HashSet<String> = known.keys().cloned().collect();
-        let scalars: HashSet<String> = HashSet::new();
-        let env = NameEnv::new(None, scalars, arrays, params.clone());
-        let fail = |violation| AnalyzeError::NotPipelinable {
-            block: block.name.clone(),
-            violation,
-        };
-
-        let (class, range, index_var, index_span, exprs): (_, _, String, (i64, i64), Vec<Expr>) =
-            match &block.body {
-                BlockBody::Forall(fa) => {
-                    let pf = check_primitive_forall(fa, &env).map_err(fail)?;
-                    if pf.hi < pf.lo {
-                        return Err(AnalyzeError::Other(format!(
-                            "block '{}' has empty range [{}, {}]",
-                            block.name, pf.lo, pf.hi
-                        )));
-                    }
-                    // Defs then body, in evaluation order, wrapped so the
-                    // guard analysis sees the def conditions.
-                    let mut exprs: Vec<Expr> = fa.defs.iter().map(|d| d.value.clone()).collect();
-                    exprs.push(fa.body.clone());
-                    (
-                        BlockClass::Forall {
-                            lo: pf.lo,
-                            hi: pf.hi,
-                        },
-                        (pf.lo, pf.hi),
-                        fa.index_var.clone(),
-                        (pf.lo, pf.hi),
-                        exprs,
-                    )
-                }
-                BlockBody::ForIter(fi) => {
-                    let pfi = check_primitive_foriter(fi, &env).map_err(fail)?;
-                    let range = pfi.range();
-                    let step = pfi.step_inlined();
-                    let init = pfi.init_expr.clone();
-                    let iv = pfi.index_var.clone();
-                    let span = (pfi.start, pfi.bound - 1);
-                    (BlockClass::ForIter(pfi), range, iv, span, vec![init, step])
-                }
-            };
-
-        // Range-check every guarded access of every constituent expression.
-        let acc_name = match &class {
-            BlockClass::ForIter(p) => Some(p.acc.clone()),
-            _ => None,
-        };
-        let mut consumes: Vec<(String, i64)> = Vec::new();
-        for e in &exprs {
-            for ga in collect_guarded(e, &index_var, &params) {
-                let producer_range = if Some(&ga.array) == acc_name.as_ref() {
-                    // Self-access of the accumulator: guaranteed by the
-                    // first-order check; skip.
-                    continue;
-                } else {
-                    match known.get(&ga.array) {
-                        Some(&r) => r,
-                        None => {
-                            return Err(AnalyzeError::Unresolved {
-                                block: block.name.clone(),
-                                array: ga.array.clone(),
-                            })
-                        }
-                    }
-                };
-                // Check bounds for every index at which the access runs.
-                for i in index_span.0..=index_span.1 {
-                    let active = ga.active_at(&index_var, i, &params).unwrap_or(true);
-                    if active {
-                        let at = i + ga.offset;
-                        if at < producer_range.0 || at > producer_range.1 {
-                            return Err(AnalyzeError::OutOfRange {
-                                block: block.name.clone(),
-                                array: ga.array.clone(),
-                                offset: ga.offset,
-                                at_index: i,
-                            });
-                        }
-                    }
-                }
-                if !consumes.contains(&(ga.array.clone(), ga.offset)) {
-                    consumes.push((ga.array.clone(), ga.offset));
-                }
-            }
-        }
-        consumes.sort();
-        for (a, _) in &consumes {
+        let node = step(block, &known, &params)?;
+        for (a, _) in &node.consumes {
             let edge = (a.clone(), block.name.clone());
-            if !edges.contains(&edge) {
+            if seen_edges.insert(edge.clone()) {
                 edges.push(edge);
             }
         }
-
-        known.insert(block.name.clone(), range);
-        blocks.push(BlockNode {
-            name: block.name.clone(),
-            class,
-            range,
-            consumes,
-        });
+        known.insert(block.name.clone(), node.range);
+        blocks.push(node);
     }
 
     // Outputs must resolve.
@@ -364,6 +288,110 @@ pub fn analyze(prog: &Program) -> Result<FlowGraph, AnalyzeError> {
         inputs,
         blocks,
         edges,
+    })
+}
+
+/// Classify one block and range-check its accesses against `known`, the
+/// manifest range of every array declared before it. The result depends
+/// only on the three arguments.
+pub fn analyze_block(
+    block: &BlockDecl,
+    known: &HashMap<String, (i64, i64)>,
+    params: &Bindings,
+) -> Result<BlockNode, AnalyzeError> {
+    let arrays: HashSet<String> = known.keys().cloned().collect();
+    let scalars: HashSet<String> = HashSet::new();
+    let env = NameEnv::new(None, scalars, arrays, params.clone());
+    let fail = |violation| AnalyzeError::NotPipelinable {
+        block: block.name.clone(),
+        violation,
+    };
+
+    let (class, range, index_var, index_span, exprs): (_, _, String, (i64, i64), Vec<Expr>) =
+        match &block.body {
+            BlockBody::Forall(fa) => {
+                let pf = check_primitive_forall(fa, &env).map_err(fail)?;
+                if pf.hi < pf.lo {
+                    return Err(AnalyzeError::Other(format!(
+                        "block '{}' has empty range [{}, {}]",
+                        block.name, pf.lo, pf.hi
+                    )));
+                }
+                // Defs then body, in evaluation order, wrapped so the
+                // guard analysis sees the def conditions.
+                let mut exprs: Vec<Expr> = fa.defs.iter().map(|d| d.value.clone()).collect();
+                exprs.push(fa.body.clone());
+                (
+                    BlockClass::Forall {
+                        lo: pf.lo,
+                        hi: pf.hi,
+                    },
+                    (pf.lo, pf.hi),
+                    fa.index_var.clone(),
+                    (pf.lo, pf.hi),
+                    exprs,
+                )
+            }
+            BlockBody::ForIter(fi) => {
+                let pfi = check_primitive_foriter(fi, &env).map_err(fail)?;
+                let range = pfi.range();
+                let step = pfi.step_inlined();
+                let init = pfi.init_expr.clone();
+                let iv = pfi.index_var.clone();
+                let span = (pfi.start, pfi.bound - 1);
+                (BlockClass::ForIter(pfi), range, iv, span, vec![init, step])
+            }
+        };
+
+    // Range-check every guarded access of every constituent expression.
+    let acc_name = match &class {
+        BlockClass::ForIter(p) => Some(p.acc.clone()),
+        _ => None,
+    };
+    let mut consumes: Vec<(String, i64)> = Vec::new();
+    for e in &exprs {
+        for ga in collect_guarded(e, &index_var, params) {
+            let producer_range = if Some(&ga.array) == acc_name.as_ref() {
+                // Self-access of the accumulator: guaranteed by the
+                // first-order check; skip.
+                continue;
+            } else {
+                match known.get(&ga.array) {
+                    Some(&r) => r,
+                    None => {
+                        return Err(AnalyzeError::Unresolved {
+                            block: block.name.clone(),
+                            array: ga.array.clone(),
+                        })
+                    }
+                }
+            };
+            // Check bounds for every index at which the access runs.
+            for i in index_span.0..=index_span.1 {
+                let active = ga.active_at(&index_var, i, params).unwrap_or(true);
+                if active {
+                    let at = i + ga.offset;
+                    if at < producer_range.0 || at > producer_range.1 {
+                        return Err(AnalyzeError::OutOfRange {
+                            block: block.name.clone(),
+                            array: ga.array.clone(),
+                            offset: ga.offset,
+                            at_index: i,
+                        });
+                    }
+                }
+            }
+            if !consumes.contains(&(ga.array.clone(), ga.offset)) {
+                consumes.push((ga.array.clone(), ga.offset));
+            }
+        }
+    }
+    consumes.sort();
+    Ok(BlockNode {
+        name: block.name.clone(),
+        class,
+        range,
+        consumes,
     })
 }
 
