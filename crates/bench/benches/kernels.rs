@@ -16,12 +16,15 @@
 //!
 //! All kernels must agree bit-for-bit on every workload; the bench
 //! asserts that too, so a timing win can never hide a semantics drift.
+//! The kernels compared in one table are timed with their repetitions
+//! interleaved round-robin, so a host that changes speed mid-run moves
+//! every median alike instead of deciding which kernel "wins"; the
+//! asserted ratios pair the runs of one round.
 //! With `--json`, every measurement is also written to
 //! `BENCH_machine.json` (or `$BENCH_JSON_PATH`) as the machine-readable
 //! bench trajectory.
 
-use std::time::Instant;
-use valpipe_bench::timing::{bench, iters, json_mode, smoke_mode, BenchLog};
+use valpipe_bench::timing::{interleaved_times, iters, json_mode, median, smoke_mode, BenchLog};
 use valpipe_bench::workloads::{fig6_src, inputs_for_compiled};
 use valpipe_core::verify::stream_inputs;
 use valpipe_core::{compile_source, CompileOptions};
@@ -125,18 +128,24 @@ fn epoch_extras(cap: u64, policy: ShardPolicy, stats: &EpochStats) -> Vec<(&'sta
     ]
 }
 
-/// Median wall time of `n` runs.
-fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|x, y| x.total_cmp(y));
-    times[times.len() / 2]
+/// Per-kernel median wall times of `run(kernel)` for each of `kernels`,
+/// timed interleaved (see [`interleaved_times`]).
+fn kernel_medians(n: usize, kernels: &[Kernel], run: impl Fn(Kernel)) -> Vec<f64> {
+    kernel_times(n, kernels, run)
+        .iter()
+        .map(|t| median(t))
+        .collect()
+}
+
+/// [`interleaved_times`] of `run(kernel)` for each of `kernels`.
+fn kernel_times(n: usize, kernels: &[Kernel], run: impl Fn(Kernel)) -> Vec<Vec<f64>> {
+    interleaved_times(n, kernels.len(), |i| run(kernels[i]))
+}
+
+/// Median over rounds of `a`'s time over `b`'s in the same round.
+fn paired_ratio(a: &[f64], b: &[f64]) -> f64 {
+    let ratios: Vec<f64> = a.iter().zip(b).map(|(x, y)| x / y).collect();
+    median(&ratios)
 }
 
 fn kernel_tag(kernel: Kernel) -> (&'static str, usize) {
@@ -161,12 +170,10 @@ fn main() {
     assert_eq!(scan, event, "kernels disagree on the sparse chain");
 
     let n = iters(10);
-    let t_scan = median_secs(n, || {
-        let _ = run_kernel(&g, &inputs, Kernel::Scan);
+    let t = kernel_medians(n, &[Kernel::Scan, Kernel::EventDriven], |k| {
+        let _ = run_kernel(&g, &inputs, k);
     });
-    let t_event = median_secs(n, || {
-        let _ = run_kernel(&g, &inputs, Kernel::EventDriven);
-    });
+    let (t_scan, t_event) = (t[0], t[1]);
     let speedup = t_scan / t_event;
     println!(
         "kernels/sparse_chain/{stages}x8pkts       scan {:>10.3}ms   event {:>10.3}ms   speedup {speedup:>6.2}x",
@@ -221,12 +228,10 @@ fn main() {
         ring_run(Kernel::EventDriven),
         "kernels disagree on the ring"
     );
-    let t_scan = median_secs(n, || {
-        let _ = ring_run(Kernel::Scan);
+    let t = kernel_medians(n, &[Kernel::Scan, Kernel::EventDriven], |k| {
+        let _ = ring_run(k);
     });
-    let t_event = median_secs(n, || {
-        let _ = ring_run(Kernel::EventDriven);
-    });
+    let (t_scan, t_event) = (t[0], t[1]);
     println!(
         "kernels/ring/{ring_len}x1token            scan {:>10.3}ms   event {:>10.3}ms   speedup {:>6.2}x",
         t_scan * 1e3,
@@ -252,22 +257,47 @@ fn main() {
         t_event,
     );
 
-    // 3. Dense paper workload: both sequential kernels on fig6, for the
-    // honest "what does it cost when everything fires" number.
+    // 3. Dense paper workload on fig6, for the honest "what does it
+    // cost when everything fires" number: both sequential kernels and
+    // the parallel kernel at 2 workers.
     let compiled = compile_source(&fig6_src(64), &CompileOptions::paper()).unwrap();
     let exe = compiled.executable();
     let arrays = inputs_for_compiled(&compiled);
     let dense_inputs = stream_inputs(&compiled, &arrays, 10);
     let fig6_ref = run_kernel(&exe, &dense_inputs, Kernel::Scan);
-    assert_eq!(
-        fig6_ref,
-        run_kernel(&exe, &dense_inputs, Kernel::EventDriven),
-        "kernels disagree on fig6"
-    );
-    for kernel in [Kernel::Scan, Kernel::EventDriven] {
-        bench(&format!("kernels/fig6_dense/{kernel:?}"), n, || {
-            run_kernel(&exe, &dense_inputs, kernel)
-        });
+    let dense_kernels = [Kernel::Scan, Kernel::EventDriven, Kernel::ParallelEvent(2)];
+    let mut dense_stats = Vec::new();
+    for kernel in dense_kernels {
+        let (r, stats) = drive_config(&exe, &dense_inputs, SimConfig::new().kernel(kernel));
+        assert_eq!(r, fig6_ref, "{kernel:?} disagrees on fig6");
+        dense_stats.push(stats);
+    }
+    let times = kernel_medians(n, &dense_kernels, |k| {
+        let _ = run_kernel(&exe, &dense_inputs, k);
+    });
+    for ((kernel, t), stats) in dense_kernels.into_iter().zip(times).zip(&dense_stats) {
+        let (tag, workers) = kernel_tag(kernel);
+        println!(
+            "kernels/fig6_dense/{}cells/{tag}{workers}   {:>10.3}ms   {:>12.0} steps/s",
+            exe.node_count(),
+            t * 1e3,
+            fig6_ref.steps as f64 / t,
+        );
+        let extras = if matches!(kernel, Kernel::ParallelEvent(_)) {
+            epoch_extras(DEFAULT_EPOCH_CAP, ShardPolicy::Topology, stats)
+        } else {
+            Vec::new()
+        };
+        log.record_with(
+            "fig6_dense",
+            exe.node_count(),
+            exe.arc_count(),
+            tag,
+            workers,
+            fig6_ref.steps,
+            t,
+            extras,
+        );
     }
 
     // 4. Worker sweep on the wide dense grid — the parallel kernel's
@@ -285,19 +315,24 @@ fn main() {
         );
     }
     let reference = run_kernel(&wg, &winputs, Kernel::EventDriven);
-    let mut t_of: Vec<(Kernel, f64)> = Vec::new();
-    for kernel in [
+    let sweep = [
         Kernel::Scan,
         Kernel::EventDriven,
         Kernel::ParallelEvent(1),
         Kernel::ParallelEvent(2),
         Kernel::ParallelEvent(4),
-    ] {
+    ];
+    let mut sweep_stats = Vec::new();
+    for kernel in sweep {
         let (r, stats) = drive_config(&wg, &winputs, SimConfig::new().kernel(kernel));
         assert_eq!(r, reference, "{kernel:?} disagrees on the wide grid");
-        let t = median_secs(n, || {
-            let _ = run_kernel(&wg, &winputs, kernel);
-        });
+        sweep_stats.push(stats);
+    }
+    let times = kernel_times(n, &sweep, |k| {
+        let _ = run_kernel(&wg, &winputs, k);
+    });
+    for ((kernel, samples), stats) in sweep.into_iter().zip(&times).zip(&sweep_stats) {
+        let t = median(samples);
         let (tag, workers) = kernel_tag(kernel);
         println!(
             "kernels/wide_grid/{}cells/{tag}{workers}   {:>10.3}ms   {:>12.0} steps/s",
@@ -306,7 +341,7 @@ fn main() {
             reference.steps as f64 / t,
         );
         let extras = if matches!(kernel, Kernel::ParallelEvent(_)) {
-            epoch_extras(DEFAULT_EPOCH_CAP, ShardPolicy::Topology, &stats)
+            epoch_extras(DEFAULT_EPOCH_CAP, ShardPolicy::Topology, stats)
         } else {
             Vec::new()
         };
@@ -320,12 +355,19 @@ fn main() {
             t,
             extras,
         );
-        t_of.push((kernel, t));
     }
-    let t = |k: Kernel| t_of.iter().find(|(kk, _)| *kk == k).unwrap().1;
+    // Ratios pair the runs of one round, which saw nearly the same host
+    // state; `ParallelEvent(1)` runs the event body itself, so its ratio
+    // to `event` measures the noise that is left.
+    let t = |k: Kernel| {
+        &times[sweep
+            .iter()
+            .position(|&s| s == k)
+            .expect("kernel in the sweep")]
+    };
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let par_speedup = t(Kernel::EventDriven) / t(Kernel::ParallelEvent(4));
-    let par1_overhead = t(Kernel::ParallelEvent(1)) / t(Kernel::EventDriven);
+    let par_speedup = paired_ratio(t(Kernel::EventDriven), t(Kernel::ParallelEvent(4)));
+    let par1_overhead = paired_ratio(t(Kernel::ParallelEvent(1)), t(Kernel::EventDriven));
     println!(
         "kernels/wide_grid summary: event/parallel4 {par_speedup:.2}x, parallel1 overhead {:.1}% ({cores} host cores)",
         (par1_overhead - 1.0) * 100.0,
@@ -350,42 +392,54 @@ fn main() {
 
     // 5. Epoch/shard sweep on the same grid: how the barrier-amortizing
     // horizon cap and the sharding policy shape the 4-worker kernel.
-    // cap=1 disables batching (the pre-epoch per-step kernel), and the
-    // striped policy cuts chains across shards — both honest baselines.
-    for policy in [ShardPolicy::Topology, ShardPolicy::Striped] {
-        for cap in [1u64, 4, 16, 64] {
-            let cfg = SimConfig::new()
-                .kernel(Kernel::ParallelEvent(4))
-                .epoch_cap(cap)
-                .shard_policy(policy);
-            let (r, stats) = drive_config(&wg, &winputs, cfg.clone());
-            assert_eq!(
-                r, reference,
-                "epoch sweep (cap {cap}, {policy:?}) disagrees on the wide grid"
-            );
-            let t = median_secs(n, || {
-                let _ = drive_config(&wg, &winputs, cfg.clone());
-            });
-            println!(
-                "kernels/wide_grid/epoch_sweep/{}/cap{cap}   {:>10.3}ms   {:>12.0} steps/s   epochs {} (mean horizon {:.1}, {} fallbacks)",
-                policy.as_str(),
-                t * 1e3,
-                reference.steps as f64 / t,
-                stats.epochs,
-                stats.mean_horizon(),
-                stats.horizon_fallbacks,
-            );
-            log.record_with(
-                "wide_grid",
-                wg.node_count(),
-                wg.arc_count(),
-                "parallel-event",
-                4,
-                reference.steps,
-                t,
-                epoch_extras(cap, policy, &stats),
-            );
-        }
+    // cap=1 disables batching (every step runs the sequential event step
+    // body), and the striped policy cuts chains across shards — both
+    // honest baselines.
+    let configs: Vec<(ShardPolicy, u64)> = [ShardPolicy::Topology, ShardPolicy::Striped]
+        .into_iter()
+        .flat_map(|policy| [1u64, 4, 16, 64].map(|cap| (policy, cap)))
+        .collect();
+    let cfg_of = |(policy, cap): (ShardPolicy, u64)| {
+        SimConfig::new()
+            .kernel(Kernel::ParallelEvent(4))
+            .epoch_cap(cap)
+            .shard_policy(policy)
+    };
+    let mut config_stats = Vec::new();
+    for &(policy, cap) in &configs {
+        let (r, stats) = drive_config(&wg, &winputs, cfg_of((policy, cap)));
+        assert_eq!(
+            r, reference,
+            "epoch sweep (cap {cap}, {policy:?}) disagrees on the wide grid"
+        );
+        config_stats.push(stats);
+    }
+    let times: Vec<f64> = interleaved_times(n, configs.len(), |i| {
+        let _ = drive_config(&wg, &winputs, cfg_of(configs[i]));
+    })
+    .iter()
+    .map(|t| median(t))
+    .collect();
+    for ((&(policy, cap), t), stats) in configs.iter().zip(times).zip(&config_stats) {
+        println!(
+            "kernels/wide_grid/epoch_sweep/{}/cap{cap}   {:>10.3}ms   {:>12.0} steps/s   epochs {} (mean horizon {:.1}, {} fallbacks)",
+            policy.as_str(),
+            t * 1e3,
+            reference.steps as f64 / t,
+            stats.epochs,
+            stats.mean_horizon(),
+            stats.horizon_fallbacks,
+        );
+        log.record_with(
+            "wide_grid",
+            wg.node_count(),
+            wg.arc_count(),
+            "parallel-event",
+            4,
+            reference.steps,
+            t,
+            epoch_extras(cap, policy, stats),
+        );
     }
 
     if json_mode() {

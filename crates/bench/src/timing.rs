@@ -69,6 +69,39 @@ pub fn bench_throughput<T>(label: &str, iters: usize, elements: u64, mut f: impl
     );
 }
 
+/// Wall times of `iters` timed calls of `f(i)` for each `i` in
+/// `0..cases`: `times[i][r]` is case `i`'s time in round `r`. One
+/// untimed warmup call per case comes first; then every round calls
+/// each case once, in forward order on even rounds and in reverse on
+/// odd ones. A host whose speed drifts or switches between states would
+/// hand cases timed back to back different host states; interleaved,
+/// every case samples the same mix, and two cases adjacent in a round
+/// run in nearly the same state, so their per-round ratio compares the
+/// cases rather than the moments they ran.
+pub fn interleaved_times(iters: usize, cases: usize, mut f: impl FnMut(usize)) -> Vec<Vec<f64>> {
+    assert!(iters > 0, "bench needs at least one iteration");
+    for i in 0..cases {
+        f(i);
+    }
+    let mut times = vec![Vec::with_capacity(iters); cases];
+    for r in 0..iters {
+        for k in 0..cases {
+            let i = if r % 2 == 0 { k } else { cases - 1 - k };
+            let t0 = Instant::now();
+            f(i);
+            times[i].push(t0.elapsed().as_secs_f64());
+        }
+    }
+    times
+}
+
+/// The median of `xs` (the upper one for an even count).
+pub fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(|a, b| a.total_cmp(b));
+    v[v.len() / 2]
+}
+
 fn human(secs: f64) -> String {
     if secs < 1e-6 {
         format!("{:.1}ns", secs * 1e9)
@@ -225,6 +258,20 @@ impl BenchLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleaved_times_alternate_the_cases() {
+        let mut order = Vec::new();
+        let times = interleaved_times(3, 2, |i| order.push(i));
+        assert_eq!(times.len(), 2);
+        assert!(times.iter().all(|t| t.len() == 3));
+        assert_eq!(
+            order,
+            [0, 1, 0, 1, 1, 0, 0, 1],
+            "warmup, then round-robin with alternating direction"
+        );
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+    }
 
     #[test]
     fn write_at_appends_to_the_trajectory_and_wraps_legacy_objects() {

@@ -1,50 +1,23 @@
-//! The parallel event-driven step: [`Kernel::ParallelEvent`]'s phased
-//! execution of one instruction time across a persistent worker pool.
+//! The epoch engine behind [`crate::Kernel::ParallelEvent`]: a persistent
+//! worker pool and the epoch-batched multi-step advance (DESIGN.md §11
+//! and §16).
 //!
-//! # Why this is deterministic (DESIGN.md §11 carries the full argument)
+//! `ParallelEvent(w)` runs shards of the machine concurrently only when
+//! a horizon of ≥ 2 whole steps is provable: within it no token or
+//! acknowledge can cross a shard boundary, so each worker runs its
+//! shard's event loop on private wheels with no synchronization, and
+//! the merge replays the per-step bookkeeping in canonical order. Every
+//! other step runs the sequential [`crate::Kernel::EventDriven`] step body,
+//! which is the reference — so results are bit-identical for any worker
+//! count by construction. There is deliberately no per-step parallel
+//! path: the barrier hand-offs of spreading one instruction time across
+//! the pool cost more than a dense step's work (DESIGN.md §11).
 //!
-//! The machine is tick-synchronous: whether a cell fires at instruction
-//! time `t`, and what it does, depends only on machine state at the
-//! *start* of `t` — all enabled cells fire simultaneously. That makes
-//! one tick's work embarrassingly parallel provided the phases stay
-//! separated and the mutations merge in a canonical order:
-//!
-//! 1. **Release** — due acknowledge slots expire. Arcs are partitioned
-//!    into contiguous id ranges, one disjoint `&mut` slice per worker;
-//!    releases on distinct arcs are independent.
-//! 2. **Plan** — the drained ready set (ascending cell ids) is split
-//!    into contiguous chunks; planning is read-only, so workers share
-//!    `&Simulator`. Concatenating the per-worker plan buffers in worker
-//!    order restores exactly the sequential ascending-cell-id plan
-//!    list. The first planning error in worker order is the error the
-//!    sequential loop would have hit first (all lower cells planned
-//!    clean), and it propagates before any wakeup or firing side
-//!    effect — planning has no side effects, so the error state is
-//!    bit-identical to the sequential kernels'.
-//! 3. **Fire** — arc mutations are partitioned by *arc ownership*:
-//!    every worker walks the full plan list in order and applies only
-//!    the consumes/emits landing on arcs in its contiguous range. An
-//!    arc sees at most one consume (its unique destination cell) and
-//!    one emit (its unique source cell) per tick, and a consume moves a
-//!    slot from `queue` to `freeing` without changing `occupied()`, so
-//!    the two commute — including the `Duplicate` fault's capacity
-//!    check. Fault fates are position-keyed (`hash_mix(seed, arc,
-//!    step)`), not draw-order-keyed, so every worker resolves the same
-//!    fates the sequential kernels do with no RNG coordination.
-//!    Per-cell bookkeeping ([`Simulator::note_fire`] — the exact
-//!    function the sequential `fire` uses) then runs sequentially over
-//!    the plans in cell order, and buffered wakeups merge afterwards;
-//!    wheel insertion order is irrelevant because due lists are
-//!    sorted and deduplicated on drain.
-//!
-//! The pool blocks workers on a condvar between ticks (never spins), so
-//! oversubscribing a small machine degrades gracefully; ticks below
-//! [`PAR_MIN_WORK`] ready items skip the fan-out entirely and run the
-//! sequential step body, which produces identical results by the same
-//! argument with one worker.
+//! The pool blocks workers on a condvar between epochs (never spins),
+//! so oversubscribing a small machine degrades gracefully.
 
 use std::cell::UnsafeCell;
-use std::ops::Range;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -55,77 +28,16 @@ use valpipe_ir::NodeId;
 
 use crate::error::SimError;
 use crate::fault::{AckFate, ResultFate};
-use crate::scheduler::{Kernel, Wheel};
+use crate::scheduler::Wheel;
 use crate::shard::{EpochStats, ShardMap};
 use crate::sim::{
-    consume_token, emit_token, launch_value, note_fire_cell, plan_cell, release_acks, ArcState,
-    Cells, FirePlan, NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
+    consume_token, emit_token, note_fire_cell, plan_cell, release_acks, ArcState, Cells, FirePlan,
+    NoteSink, PlanView, Simulator, StopSlots, NO_SLOT,
 };
-
-/// Below this many ready items (due cells + due arcs) a tick runs the
-/// sequential step body instead of dispatching to the pool: the phase
-/// barriers cost more than the work. Results are identical either way.
-pub(crate) const PAR_MIN_WORK: usize = 96;
 
 /// Hard cap on `ParallelEvent(w)`; a worker beyond this adds only
 /// scheduling overhead on any machine this simulator targets.
 pub(crate) const MAX_WORKERS: usize = 32;
-
-/// Per-worker buffers for one tick, reused across the whole run.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerBuf {
-    /// Plans from this worker's chunk of the ready set (phase 2).
-    plans: Vec<(u32, FirePlan)>,
-    /// Frozen cells deferred to their thaw time (phase 2).
-    thaw: Vec<(u32, u64)>,
-    /// First planning error in this worker's chunk (phase 2).
-    err: Option<SimError>,
-    /// Wakeups for arcs this worker owns (phase 3).
-    arc_wakes: Vec<(u32, u64)>,
-    /// Wakeups for cells, from acks freeing producer slots and packets
-    /// reaching consumers on arcs this worker owns (phase 3).
-    node_wakes: Vec<(u32, u64)>,
-}
-
-impl WorkerBuf {
-    fn clear(&mut self) {
-        self.plans.clear();
-        self.thaw.clear();
-        self.err = None;
-        self.arc_wakes.clear();
-        self.node_wakes.clear();
-    }
-}
-
-/// Contiguous even partition of `0..len` into `parts` ranges (the first
-/// `len % parts` ranges get the extra element).
-fn chunk_ranges(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
-    let base = len / parts;
-    let extra = len % parts;
-    let mut start = 0;
-    (0..parts).map(move |i| {
-        let size = base + usize::from(i < extra);
-        let r = start..start + size;
-        start += size;
-        r
-    })
-}
-
-/// Split a slice into `parts` contiguous `(base index, sub-slice)`
-/// shards — disjoint `&mut` views, one per worker.
-fn split_shards<T>(items: &mut [T], parts: usize) -> Vec<(usize, &mut [T])> {
-    let mut out = Vec::with_capacity(parts);
-    let total = items.len();
-    let mut rest = items;
-    let mut base = 0;
-    for r in chunk_ranges(total, parts) {
-        let (head, tail) = rest.split_at_mut(r.len());
-        out.push((base, head));
-        base += r.len();
-        rest = tail;
-    }
-    out
-}
 
 /// The job handed to workers: a borrowed closure with its lifetime
 /// erased. Sound because [`Pool::run`] does not return until every
@@ -158,7 +70,7 @@ struct PoolShared {
 
 /// A persistent pool of `workers − 1` blocked threads; the calling
 /// thread acts as worker 0, so `ParallelEvent(w)` uses exactly `w`
-/// threads during a tick and zero CPU between ticks.
+/// threads during an epoch and zero CPU between epochs.
 pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -285,179 +197,10 @@ fn worker_loop(shared: &PoolShared, wi: usize) {
     }
 }
 
-impl Simulator<'_> {
-    /// One instruction time under [`Kernel::ParallelEvent`].
-    pub(crate) fn step_parallel(&mut self, workers: usize) -> Result<usize, SimError> {
-        let now = self.now;
-        let mut due = std::mem::take(&mut self.scratch.due_nodes);
-        let mut due_arcs = std::mem::take(&mut self.scratch.due_arcs);
-        self.sched.due_arcs(now, &mut due_arcs);
-        self.sched.due_nodes(now, &mut due);
-        let w = workers.clamp(1, MAX_WORKERS);
-        let r = if w < 2 || due.len() + due_arcs.len() < PAR_MIN_WORK {
-            self.step_ready(&due, &due_arcs)
-        } else {
-            self.step_ready_parallel(w, &due, &due_arcs)
-        };
-        self.scratch.due_nodes = due;
-        self.scratch.due_arcs = due_arcs;
-        r
-    }
-
-    fn step_ready_parallel(
-        &mut self,
-        w: usize,
-        due: &[u32],
-        due_arcs: &[u32],
-    ) -> Result<usize, SimError> {
-        debug_assert!(matches!(self.cfg.kernel, Kernel::ParallelEvent(_)));
-        let now = self.now;
-        if self.pool.as_ref().is_none_or(|p| p.workers() != w) {
-            self.pool = Some(Pool::new(w));
-        }
-        let mut bufs = std::mem::take(&mut self.scratch.bufs);
-        bufs.resize_with(w, WorkerBuf::default);
-        for b in &mut bufs {
-            b.clear();
-        }
-
-        // Phase 1: release due acknowledge slots, arcs partitioned into
-        // contiguous id ranges (due_arcs is sorted, so each worker
-        // binary-searches its window).
-        {
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut shards = split_shards(&mut self.arcs, w);
-            pool.run_sharded(&mut shards, |_wi, (base, slice)| {
-                let lo = due_arcs.partition_point(|&a| (a as usize) < *base);
-                let hi = due_arcs.partition_point(|&a| (a as usize) < *base + slice.len());
-                for &aid in &due_arcs[lo..hi] {
-                    release_acks(&mut slice[aid as usize - *base], now);
-                }
-            });
-        }
-
-        // Phase 2: plan, read-only over the whole machine; the ready
-        // set is chunked contiguously so concatenation preserves the
-        // ascending cell order.
-        {
-            let this: &Simulator = self;
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut shards: Vec<(Range<usize>, &mut WorkerBuf)> =
-                chunk_ranges(due.len(), w).zip(bufs.iter_mut()).collect();
-            pool.run_sharded(&mut shards, |_wi, (range, buf)| {
-                if let Err(e) = this.plan_due(&due[range.clone()], &mut buf.plans, &mut buf.thaw) {
-                    buf.err = Some(e);
-                }
-            });
-        }
-        let mut first_err = None;
-        for b in &mut bufs {
-            let e = b.err.take();
-            if first_err.is_none() {
-                first_err = e;
-            }
-        }
-        if let Some(e) = first_err {
-            self.scratch.bufs = bufs;
-            return Err(e);
-        }
-        let mut plans = std::mem::take(&mut self.scratch.plans);
-        plans.clear();
-        for b in &bufs {
-            plans.extend_from_slice(&b.plans);
-        }
-        for b in &bufs {
-            for &(nid, at) in &b.thaw {
-                self.sched.wake(nid, at);
-            }
-        }
-        self.apply_throttle(&mut plans);
-
-        // Phase 3: fire. Every worker walks the full plan list in order
-        // and applies the consume/emit operations landing on its arc
-        // range; wakeups are buffered per worker.
-        {
-            let g = self.g;
-            let fault = &self.fault;
-            let fwd = &self.fwd_delay;
-            let ack = &self.ack_delay;
-            let plans: &[(u32, FirePlan)] = &plans;
-            let pool = self.pool.as_ref().expect("pool created above");
-            let mut shards: Vec<((usize, &mut [_]), &mut WorkerBuf)> =
-                split_shards(&mut self.arcs, w)
-                    .into_iter()
-                    .zip(bufs.iter_mut())
-                    .collect();
-            pool.run_sharded(&mut shards, |_wi, ((base, slice), buf)| {
-                let (base, end) = (*base, *base + slice.len());
-                for &(nid, plan) in plans {
-                    for arc in plan.consumes() {
-                        let i = arc.idx();
-                        if i < base || i >= end {
-                            continue;
-                        }
-                        let fate = match fault {
-                            Some(f) => f.ack_fate(i, now),
-                            None => AckFate::Deliver,
-                        };
-                        if let Some(t) = consume_token(&mut slice[i - base], now + ack[i], fate) {
-                            // The freed slot re-enables the arc's producer.
-                            buf.arc_wakes.push((i as u32, t));
-                            buf.node_wakes.push((g.arcs[i].src.idx() as u32, t));
-                        }
-                    }
-                    if let Some(v) = launch_value(g, nid, &plan) {
-                        for &a in &g.nodes[nid as usize].outputs {
-                            let i = a.idx();
-                            if i < base || i >= end {
-                                continue;
-                            }
-                            let fate = match fault {
-                                Some(f) => f.result_fate(i, now),
-                                None => ResultFate::Deliver,
-                            };
-                            if let Some(t) = emit_token(&mut slice[i - base], v, now + fwd[i], fate)
-                            {
-                                buf.node_wakes.push((g.arcs[i].dst.idx() as u32, t));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Merge: per-cell bookkeeping in plan (= cell) order — the same
-        // `note_fire` the sequential fire loop runs — then the buffered
-        // wakeups (insertion order is irrelevant: due lists sort and
-        // deduplicate on drain).
-        let count = plans.len();
-        for &(nid, plan) in &plans {
-            self.note_fire(NodeId(nid), &plan);
-            // A fired cell may be enabled again immediately; re-examine
-            // it next step.
-            self.sched.wake(nid, now + 1);
-        }
-        for b in &bufs {
-            for &(a, t) in &b.arc_wakes {
-                self.sched.wake_arc(a, t);
-            }
-            for &(n, t) in &b.node_wakes {
-                self.sched.wake(n, t);
-            }
-        }
-        plans.clear();
-        self.scratch.plans = plans;
-        self.scratch.bufs = bufs;
-        self.now += 1;
-        Ok(count)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Epoch-batched execution (DESIGN.md §16).
 //
-// The per-step parallel kernel above pays three barrier handoffs per
-// instruction time. The epoch engine amortizes them: the global wheels
+// One pool dispatch covers a whole epoch of steps: the global wheels
 // know the earliest pending wakeup, and influence spreads at most one
 // undirected hop per step (every result and acknowledge delay is ≥ 1),
 // so a BFS distance from each cell to the nearest shard boundary turns
@@ -757,8 +500,9 @@ fn run_shard(
             debug_assert!(!map.arc_cross[a as usize]);
             release_acks(unsafe { &mut *shared.arcs[a as usize].get() }, t);
         }
-        // Phase 2: plan due cells (drain sorts + dedups, so plans are
-        // in ascending cell order — the canonical tie-break).
+        // Phase 2: plan due cells (a drain is ascending and
+        // deduplicated, so plans are in ascending cell order — the
+        // canonical tie-break).
         st.node_wheel.drain(t, &mut st.due);
         st.plans.clear();
         for &nid in &st.due {
@@ -816,8 +560,8 @@ fn run_shard(
 impl Simulator<'_> {
     /// Attempt an epoch-batched multi-step advance (DESIGN.md §16).
     /// Returns `Ok(None)` when no horizon ≥ 2 is provable right now —
-    /// the caller falls back to the ordinary per-step parallel kernel
-    /// for exactly one step. `Ok(Some(fired))` reports the fire count
+    /// the caller then runs the sequential event step body for exactly
+    /// one step. `Ok(Some(fired))` reports the fire count
     /// of the *last* sub-step executed, matching what a sequence of
     /// `step()` calls would have returned last.
     pub(crate) fn try_step_epoch(&mut self, workers: usize) -> Result<Option<usize>, SimError> {
@@ -865,30 +609,38 @@ impl Simulator<'_> {
         // t + dist[src] — except cross arcs, which are boundary events
         // themselves. All delays are ≥ 1 and influence moves one
         // undirected hop per step (DESIGN.md §16 for the induction).
+        // The probe stops at the first score that leaves no horizon of
+        // 2 — on a dense step, usually one of the first cells due now.
         let horizon_limit = t0.saturating_add(cap);
+        let too_close = t0.saturating_add(2);
         let mut q = u64::MAX;
         let mut deferred: u64 = 0;
-        let dist = &eng.map.dist;
-        self.sched.for_each_pending_node(|id, t| {
-            let score = t.saturating_add(dist[id as usize]);
-            if score < horizon_limit {
+        let mut score = |s: u64| {
+            if s < horizon_limit {
                 deferred += 1;
             }
-            q = q.min(score);
-        });
+            q = q.min(s);
+            if s < too_close {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        let dist = &eng.map.dist;
         let arc_cross = &eng.map.arc_cross;
         let g = self.g;
-        self.sched.for_each_pending_arc(|id, t| {
-            let score = if arc_cross[id as usize] {
-                t
-            } else {
-                t.saturating_add(dist[g.arcs[id as usize].src.idx()])
-            };
-            if score < horizon_limit {
-                deferred += 1;
-            }
-            q = q.min(score);
-        });
+        let nodes_done = self
+            .sched
+            .for_each_pending_node(|id, t| score(t.saturating_add(dist[id as usize])));
+        if nodes_done.is_continue() {
+            let _ = self.sched.for_each_pending_arc(|id, t| {
+                score(if arc_cross[id as usize] {
+                    t
+                } else {
+                    t.saturating_add(dist[g.arcs[id as usize].src.idx()])
+                })
+            });
+        }
         let h = cap.min(q.saturating_sub(t0));
         if h < 2 {
             eng.stats.horizon_fallbacks += 1;
@@ -896,6 +648,8 @@ impl Simulator<'_> {
         }
         // `deferred` counted wakeups scoring inside the *cap* window;
         // only those inside the proven horizon were actually deferred.
+        // (A stopped probe counted only part of them, but it also
+        // proved h < 2, so its count is never used.)
         let deferred = if h < cap { deferred } else { 0 };
 
         // Route the global wheels' contents onto per-shard wheels.
@@ -1096,30 +850,5 @@ mod tests {
         let mut shards = vec![0usize; 3];
         pool.run_sharded(&mut shards, |wi, v| *v = wi + 10);
         assert_eq!(shards, vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly_once() {
-        for (len, parts) in [(0, 3), (5, 2), (7, 3), (8, 4), (3, 8)] {
-            let ranges: Vec<_> = chunk_ranges(len, parts).collect();
-            assert_eq!(ranges.len(), parts);
-            let mut covered = 0;
-            for r in &ranges {
-                assert_eq!(r.start, covered, "contiguous");
-                covered = r.end;
-            }
-            assert_eq!(covered, len, "complete for len={len} parts={parts}");
-        }
-    }
-
-    #[test]
-    fn split_shards_bases_match_offsets() {
-        let mut items: Vec<u32> = (0..10).collect();
-        let shards = split_shards(&mut items, 3);
-        for (base, slice) in &shards {
-            for (k, v) in slice.iter().enumerate() {
-                assert_eq!(*v as usize, base + k);
-            }
-        }
     }
 }

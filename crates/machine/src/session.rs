@@ -31,7 +31,7 @@
 //!   pseudo-cells.
 //! * [`Session`] is a prepared machine: [`Session::step`] for manual
 //!   single-stepping (traces, closed-loop experiments) and
-//!   [`Session::run`] to drive it to completion.
+//!   [`Session::drive`] to run it to completion or a pause boundary.
 
 use valpipe_ir::graph::Graph;
 use valpipe_ir::opcode::Opcode;
@@ -81,9 +81,9 @@ pub struct SimConfig {
     /// Step-loop implementation.
     pub(crate) kernel: Kernel,
     /// Emit a checkpoint every this many instruction times during
-    /// [`Session::run`] (0 = never).
+    /// [`Session::drive`] (0 = never).
     pub(crate) checkpoint_every: u64,
-    /// Where `run` writes the latest periodic checkpoint (atomically,
+    /// Where `drive` writes the latest periodic checkpoint (atomically,
     /// via a temporary file and rename).
     pub(crate) checkpoint_path: Option<String>,
     /// Most steps the parallel kernel batches per epoch barrier (the
@@ -204,16 +204,16 @@ impl SimConfig {
     }
 
     /// Emit a checkpoint every `every` instruction times during
-    /// [`Session::run`] (0 disables periodic checkpointing). Checkpoints
+    /// [`Session::drive`] (0 disables periodic checkpointing). Checkpoints
     /// are written to [`SimConfig::checkpoint_path`] and/or handed to the
-    /// sink of [`Session::run_with_checkpoints`].
+    /// sink of [`Session::drive_with`].
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint_every = every;
         self
     }
 
     /// Write the latest periodic checkpoint to this path during
-    /// [`Session::run`]. Writes go through a temporary file and an atomic
+    /// [`Session::drive`]. Writes go through a temporary file and an atomic
     /// rename, so a crash mid-write leaves the previous checkpoint
     /// intact. A failed write surfaces as
     /// `MachineError::CheckpointIo`.
@@ -224,9 +224,9 @@ impl SimConfig {
 
     /// Most steps the parallel kernel batches per epoch barrier (the
     /// provable horizon may shorten any given epoch; values below 2
-    /// disable epoch batching and restore the per-step phased kernel).
-    /// Results are bit-identical for every cap. Ignored by the
-    /// sequential kernels.
+    /// disable epoch batching, so every step runs the sequential event
+    /// step body). Results are bit-identical for every cap. Ignored by
+    /// the sequential kernels.
     pub fn epoch_cap(mut self, cap: u64) -> Self {
         self.epoch_cap = cap;
         self
@@ -595,20 +595,6 @@ impl<'g> Session<'g> {
         })
     }
 
-    /// Run to quiescence, the step limit, the output-count target, or a
-    /// watchdog stall; consumes the session.
-    #[deprecated(note = "use Session::drive(RunSpec::new()) instead")]
-    pub fn run(self) -> Result<RunResult, SimError> {
-        Ok(self.drive(RunSpec::new())?.result())
-    }
-
-    /// Run until a stopping condition *or* until the instruction time
-    /// reaches `pause_at`, whichever comes first.
-    #[deprecated(note = "use Session::drive(RunSpec::new().pause_at(..)) instead")]
-    pub fn run_until(self, pause_at: u64) -> Result<RunOutcome<'g>, SimError> {
-        Ok(self.drive(RunSpec::new().pause_at(pause_at))?.outcome)
-    }
-
     /// Diagnose the machine's current wait structure as a structured
     /// [`StallReport`] of the given kind — the same report the watchdog
     /// builds when it declares a run stalled. The service layer uses this
@@ -617,15 +603,6 @@ impl<'g> Session<'g> {
     pub fn stall_report(&self, kind: StallKind) -> StallReport {
         self.sim
             .build_stall_report(kind, self.sim.tracker.fires_since_progress())
-    }
-
-    /// `run`, handing every periodic checkpoint (see
-    /// [`SimConfig::checkpoint_every`]) to `sink` as it is taken. The
-    /// checkpoint is also written to [`SimConfig::checkpoint_path`] if
-    /// one is configured.
-    #[deprecated(note = "use Session::drive_with(RunSpec::new(), sink) instead")]
-    pub fn run_with_checkpoints(self, sink: impl FnMut(Snapshot)) -> Result<RunResult, SimError> {
-        Ok(self.drive_with(RunSpec::new(), sink)?.result())
     }
 
     /// Serialize the complete machine state at the current instruction

@@ -69,11 +69,12 @@ pub struct EpochStats {
     pub epochs: u64,
     /// Instruction times advanced inside epochs (Σ per-epoch horizons).
     pub batched_steps: u64,
-    /// Times the provable horizon collapsed below 2 and the step fell
-    /// back to the per-step phased path.
+    /// Times the provable horizon collapsed below 2 and the step ran the
+    /// sequential event step body instead.
     pub horizon_fallbacks: u64,
     /// Pending cross-shard wakeups that bounded an epoch horizon below
-    /// the configured cap.
+    /// the configured cap, counted as distinct (cell or arc, time)
+    /// pairs: the wheels hold a repeated wakeup once.
     pub cross_wakes_deferred: u64,
     /// Worker shards in the map (0 until the engine is built).
     pub shards: u32,

@@ -26,8 +26,9 @@
 //! every cell each instruction time; the default [`Kernel::EventDriven`]
 //! loop examines only cells woken by token, acknowledge, thaw, or firing
 //! events — O(fired + woken) per step instead of O(cells); and
-//! [`Kernel::ParallelEvent`] fires each step's ready set across worker
-//! threads (`par.rs`). All three produce bit-identical [`RunResult`]s.
+//! [`Kernel::ParallelEvent`] is the event loop plus epochs that advance
+//! disjoint shards several steps at a time on worker threads (`par.rs`).
+//! All three produce bit-identical [`RunResult`]s.
 //!
 //! Construct runs with [`Simulator::builder`] (see [`crate::session`]).
 
@@ -505,9 +506,9 @@ impl StopSlots {
 }
 
 /// Per-step buffers reused across the whole run so the hot loop never
-/// reallocates: due lists, fire plans, thaw/throttle lists, the
-/// resource budget, and the parallel kernel's per-worker buffers. Not
-/// part of canonical machine state (never snapshotted).
+/// reallocates: due lists, fire plans, thaw/throttle lists and the
+/// resource budget. Not part of canonical machine state (never
+/// snapshotted).
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
     pub(crate) due_nodes: Vec<u32>,
@@ -516,7 +517,6 @@ pub(crate) struct StepScratch {
     pub(crate) thawing: Vec<(u32, u64)>,
     pub(crate) throttled: Vec<u32>,
     pub(crate) budget: Vec<u32>,
-    pub(crate) bufs: Vec<crate::par::WorkerBuf>,
 }
 
 enum Operand {
@@ -817,8 +817,8 @@ pub struct Simulator<'g> {
     pub(crate) tracker: ProgressTracker,
     /// Reusable per-step buffers (not machine state, never snapshotted).
     pub(crate) scratch: StepScratch,
-    /// Lazily created worker pool for [`Kernel::ParallelEvent`]; `None`
-    /// until the first parallel-phased step.
+    /// Lazily created worker pool for [`Kernel::ParallelEvent`]'s
+    /// epochs; `None` until the first epoch runs.
     pub(crate) pool: Option<crate::par::Pool>,
     /// Whether `run_inner` proved the whole run free of the features
     /// (faults, throttles, watchdogs, fast-forward, invariant checking,
@@ -1029,11 +1029,8 @@ impl<'g> Simulator<'g> {
     /// Per-cell effects of one firing: gate accounting, sink/source/
     /// control-generator cursors, fire counters, and fire-time
     /// recording. Returns the value to launch on the cell's output
-    /// arcs, if any. Shared verbatim by the sequential kernels (inside
-    /// [`Self::fire`]) and the parallel kernel's sequential merge — arc
-    /// mutations stay with the caller, which is what lets the parallel
-    /// kernel partition them by arc ownership (see DESIGN.md §11).
-    pub(crate) fn note_fire(&mut self, n: NodeId, plan: &FirePlan) -> Option<Value> {
+    /// arcs, if any. Arc mutations stay with the caller ([`Self::fire`]).
+    fn note_fire(&mut self, n: NodeId, plan: &FirePlan) -> Option<Value> {
         let g = self.g;
         let now = self.now;
         note_fire_cell(g, self, now, n, plan)
@@ -1080,10 +1077,10 @@ impl<'g> Simulator<'g> {
                 }
             }
         }
+        // Outside an epoch the parallel kernel is the event kernel.
         let fired = match self.cfg.kernel {
             Kernel::Scan => self.step_scan()?,
-            Kernel::EventDriven => self.step_event()?,
-            Kernel::ParallelEvent(w) => self.step_parallel(w)?,
+            Kernel::EventDriven | Kernel::ParallelEvent(_) => self.step_event()?,
         };
         // Progress/idle bookkeeping happens here — not in `run` — so
         // manual stepping, `run`, and a checkpoint-restored machine all
@@ -1099,9 +1096,8 @@ impl<'g> Simulator<'g> {
 
     /// Plan every cell of `due` (ascending cell ids): frozen cells are
     /// deferred into `thaw` with their wake time, enabled cells append
-    /// to `plans`. Read-only on the machine — shared by the sequential
-    /// event step and each parallel planning worker.
-    pub(crate) fn plan_due(
+    /// to `plans`. Read-only on the machine.
+    fn plan_due(
         &self,
         due: &[u32],
         plans: &mut Vec<(u32, FirePlan)>,
@@ -1126,7 +1122,7 @@ impl<'g> Simulator<'g> {
     /// A throttled cell is still enabled and must be re-examined next
     /// step; the wakeup is a no-op for the scan kernel, which re-scans
     /// everything anyway.
-    pub(crate) fn apply_throttle(&mut self, plans: &mut Vec<(u32, FirePlan)>) {
+    fn apply_throttle(&mut self, plans: &mut Vec<(u32, FirePlan)>) {
         let Some(res) = &self.cfg.resources else {
             return;
         };
@@ -1156,9 +1152,8 @@ impl<'g> Simulator<'g> {
     /// The body of one event-driven instruction time over an already
     /// drained ready set: release due acknowledges, plan, post thaw
     /// wakeups, throttle, fire. Used by [`Kernel::EventDriven`] and by
-    /// [`Kernel::ParallelEvent`] when the tick is too small to be worth
-    /// fanning out (the results do not depend on which path ran).
-    pub(crate) fn step_ready(&mut self, due: &[u32], due_arcs: &[u32]) -> Result<usize, SimError> {
+    /// [`Kernel::ParallelEvent`] on every step outside an epoch.
+    fn step_ready(&mut self, due: &[u32], due_arcs: &[u32]) -> Result<usize, SimError> {
         let now = self.now;
         // Release exactly the acknowledge slots scheduled to expire now;
         // arcs without due slots hold only future times, so skipping them
@@ -1666,19 +1661,6 @@ impl FirePlan {
     /// The consumed arcs, in operand-port order.
     pub(crate) fn consumes(&self) -> impl Iterator<Item = ArcId> + '_ {
         self.consume.iter().flatten().copied()
-    }
-}
-
-/// The value a planned firing launches on its output arcs, if any —
-/// [`Simulator::note_fire`]'s return value, derivable without touching
-/// any per-cell state: only sinks swallow their emitted value. This is
-/// what lets the parallel fire phase apply arc effects for plans whose
-/// cells belong to other workers.
-pub(crate) fn launch_value(g: &Graph, nid: u32, plan: &FirePlan) -> Option<Value> {
-    if matches!(g.nodes[nid as usize].op, Opcode::Sink(_)) {
-        None
-    } else {
-        plan.emit
     }
 }
 

@@ -6,9 +6,8 @@
 //! plans (drops, duplicates, delays, freezes, link faults), resource
 //! throttling, watchdog stalls, arc capacities, link latencies, and
 //! early stop conditions. `ParallelEvent` is exercised at 1, 2, and 4
-//! workers; wide-graph tests push enough cells per tick to engage the
-//! phased multi-worker path rather than its small-tick sequential
-//! fallback.
+//! workers; wide-graph tests push hundreds of woken cells through each
+//! step's wheel drain (`tests/property_epochs.rs` covers the epochs).
 //!
 //! `RunResult` derives `PartialEq`, so each test is a single whole-run
 //! comparison — nothing is projected out, nothing can drift silently.
@@ -326,9 +325,7 @@ fn stop_outputs_and_max_steps_match() {
 }
 
 /// A wide program — `chains` independent pipelines side by side — so a
-/// steady-state tick has hundreds of cells due and the parallel kernel
-/// takes its phased multi-worker path instead of the small-tick
-/// sequential fallback.
+/// steady-state tick has hundreds of cells due.
 fn wide(chains: usize, stages: usize) -> (Graph, ProgramInputs) {
     let mut g = Graph::new();
     let mut inputs = ProgramInputs::new();
@@ -362,7 +359,7 @@ fn wide_clean_pipeline_matches_across_workers() {
     let (g, inputs) = wide(128, 6);
     assert!(
         g.node_count() >= 1000,
-        "must be wide enough to engage the phased path"
+        "must be wide enough for dense wheel drains"
     );
     let r = assert_equivalent(&g, &inputs, SimConfig::new().check_invariants(true));
     assert!(r.sources_exhausted);
